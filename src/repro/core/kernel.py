@@ -24,6 +24,12 @@ bound) and answers every static query by array indexing: delivery,
 minimality and up*/down* verification, LCA-usage histograms,
 all-to-one link loads, and channel-dependency-graph edge extraction.
 
+A route also reads only its own DLID's column of the port matrix, so
+:func:`trace_columns` — the one tracer — traces any subset of columns,
+and ``RouteKernel.from_lfts(..., base=prev)`` recompiles after a
+repair by copying ``prev``'s routes and re-tracing only the changed
+columns.
+
 **Scalar-oracle guarantee.**  The scalar tracer remains the oracle:
 whenever the kernel flags a route as invalid it *replays that route
 through the scalar path* (``trace_path`` plus the scalar minimality /
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +59,14 @@ from repro.core.scheme import RoutingScheme
 from repro.topology.fattree import FatTree
 from repro.topology.labels import NodeLabel, SwitchLabel
 
-__all__ = ["FabricArrays", "fabric_arrays", "RouteKernel", "compile_kernel"]
+__all__ = [
+    "ColumnTrace",
+    "FabricArrays",
+    "fabric_arrays",
+    "trace_columns",
+    "RouteKernel",
+    "compile_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -187,10 +200,121 @@ def _selected_matrix(scheme: RoutingScheme) -> np.ndarray:
     return RoutingScheme.dlid_matrix(scheme)
 
 
+class ColumnTrace(NamedTuple):
+    """Traced (leaf, DLID) routes of a set of port-matrix columns.
+
+    ``K`` is the number of traced columns and ``B`` the hop budget;
+    leaf rows follow :attr:`FabricArrays.leaf_switch`.  The hop arrays
+    are strided views of step-major buffers, not C-contiguous.
+    """
+
+    #: (F, K, B) switch id at each hop, -1 past the route's end.
+    switch: np.ndarray
+    #: (F, K, B) 0-based out-port at each hop, -1 past the route's end.
+    port: np.ndarray
+    #: (F, K) hop count of delivered routes, 0 otherwise.
+    length: np.ndarray
+    #: (F, K) node id the route reaches, -1 when it reaches none.
+    delivered: np.ndarray
+    #: (F, K) route stopped at an entry outside ``[0, m)``.
+    bad_port: np.ndarray
+
+    def stop_switch(self, arrays: FabricArrays, leaf: int, k: int) -> int:
+        """Switch id at which route ``(leaf, k)`` stopped: for a
+        ``bad_port`` route, the switch holding the invalid entry."""
+        hops = int((self.switch[leaf, k] >= 0).sum())
+        if not hops:
+            return int(arrays.leaf_switch[leaf])
+        sw = self.switch[leaf, k, hops - 1]
+        return int(arrays.peer_switch[sw, self.port[leaf, k, hops - 1]])
+
+
+def trace_columns(
+    arrays: FabricArrays,
+    port: np.ndarray,
+    columns: Optional[np.ndarray],
+    budget: int,
+) -> ColumnTrace:
+    """Trace the ``(leaf, DLID)`` routes of some port-matrix columns.
+
+    ``port`` is a ``(num_switches, num_lids)`` 0-based port matrix,
+    ``columns`` the 0-based DLID columns to trace (``None`` = all, in
+    order) and ``budget`` the most switches a route may visit before it
+    counts as undelivered.  Every route starts at its leaf switch and
+    steps all still-active routes at once: a route retires when its hop
+    reaches a node (delivered) or its entry is outside ``[0, m)``
+    (``bad_port``; that hop is not recorded).
+
+    A route reads only its own DLID's column, so tracing a subset of
+    columns gives exactly the corresponding slice of a full trace.
+    """
+    sub = port if columns is None else port[:, columns]
+    K = sub.shape[1]
+    F, m = arrays.num_leaves, arrays.m
+    R = F * K
+    # Step-major history: each step writes one (nearly) contiguous row.
+    hist_switch = np.full((budget, R), -1, np.int32)
+    hist_port = np.full((budget, R), -1, np.int32)
+    length = np.zeros(R, np.int32)
+    delivered = np.full(R, -1, np.int32)
+    bad_port = np.zeros(R, bool)
+
+    flat_port = np.ascontiguousarray(sub, dtype=np.int64).reshape(-1)
+    peer_switch = arrays.peer_switch.reshape(-1)
+    peer_row = peer_switch.astype(np.intp) * K
+    peer_node = arrays.peer_node.reshape(-1)
+    cur = np.repeat(arrays.leaf_switch, K)
+    col = np.tile(np.arange(K, dtype=np.intp), F)
+    pos = cur.astype(np.intp) * K + col
+    rid: Optional[np.ndarray] = None  # active route ids; None = all
+    for step in range(budget):
+        p = flat_port[pos]
+        ok = (p >= 0) & (p < m)
+        if not ok.all():
+            if rid is None:
+                rid = np.arange(R)
+            bad_port[rid[~ok]] = True
+            rid, col, cur, p = rid[ok], col[ok], cur[ok], p[ok]
+        if rid is None:
+            hist_switch[step] = cur
+            hist_port[step] = p
+        else:
+            hist_switch[step, rid] = cur
+            hist_port[step, rid] = p
+        hop = cur * m + p
+        node = peer_node[hop]
+        arrived = node >= 0
+        if arrived.any():
+            if rid is None:
+                rid = np.arange(R)
+            done = rid[arrived]
+            delivered[done] = node[arrived]
+            length[done] = step + 1
+            stay = ~arrived
+            rid, col, hop = rid[stay], col[stay], hop[stay]
+        if rid is not None and not rid.size:
+            break
+        cur = peer_switch[hop]
+        pos = peer_row[hop] + col
+    return ColumnTrace(
+        hist_switch.T.reshape(F, K, budget),
+        hist_port.T.reshape(F, K, budget),
+        length.reshape(F, K),
+        delivered.reshape(F, K),
+        bad_port.reshape(F, K),
+    )
+
+
 class RouteKernel:
     """Compiled routes of one scheme, queryable with array indexing."""
 
-    def __init__(self, scheme: RoutingScheme, port_matrix: np.ndarray):
+    def __init__(
+        self,
+        scheme: RoutingScheme,
+        port_matrix: np.ndarray,
+        *,
+        base: Optional["RouteKernel"] = None,
+    ):
         ft = scheme.ft
         self.scheme = scheme
         self.ft = ft
@@ -229,7 +353,15 @@ class RouteKernel:
             np.arange(self.num_lids, dtype=np.int64) >> scheme.lmc
         ).astype(np.int32)
 
-        self._trace_all()
+        if (
+            base is not None
+            and type(base.scheme) is type(scheme)
+            and (base.m, base.n) == (self.m, self.n)
+            and base.port.shape == self.port.shape
+        ):
+            self._retrace(base)
+        else:
+            self._trace_all()
         self._sel: Optional[np.ndarray] = None
         self._alpha_ln: Optional[np.ndarray] = None
         self._checks: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -243,48 +375,51 @@ class RouteKernel:
         return cls(scheme, _port_matrix(scheme))
 
     @classmethod
-    def from_lfts(cls, scheme: RoutingScheme, lfts) -> "RouteKernel":
-        """Compile from programmed LFTs (physical 1-based ports)."""
+    def from_lfts(
+        cls,
+        scheme: RoutingScheme,
+        lfts,
+        base: Optional["RouteKernel"] = None,
+    ) -> "RouteKernel":
+        """Compile from programmed LFTs (physical 1-based ports).
+
+        With ``base`` — a kernel of the same scheme on the same fabric,
+        typically the previous generation's — only the DLID columns
+        whose entries changed are re-traced; every other route is
+        copied from ``base``.  The result equals a from-scratch compile
+        array for array.  Any other ``base`` is ignored.
+        """
         ft = scheme.ft
         mat = np.empty((ft.num_switches, scheme.num_lids), dtype=np.int64)
         for i, sw in enumerate(ft.switches):
             mat[i] = lfts[sw].as_array()
-        return cls(scheme, mat - 1)
+        return cls(scheme, mat - 1, base=base)
 
     # ------------------------------------------------------------------
     # Batched hop stepping
     # ------------------------------------------------------------------
+    #: The route arrays, in :class:`ColumnTrace` field order.
+    _ROUTES = ("route_switch", "route_port", "route_len", "delivered", "bad_port")
+
     def _trace_all(self) -> None:
         """Trace every (leaf, DLID) route with batched hop steps."""
-        F, L, m, steps = self.num_leaves, self.num_lids, self.m, self.max_steps
-        self.route_switch = np.full((F, L, steps), -1, np.int32)
-        self.route_port = np.full((F, L, steps), -1, np.int32)
-        self.route_len = np.zeros((F, L), np.int32)
-        self.delivered = np.full((F, L), -1, np.int32)
-        self.bad_port = np.zeros((F, L), bool)
+        routes = trace_columns(self.arrays, self.port, None, self.max_steps)
+        for name, array in zip(self._ROUTES, routes):
+            setattr(self, name, np.ascontiguousarray(array))
 
-        cur = np.repeat(self.leaf_switch[:, None], L, axis=1).astype(np.int64)
-        lid_col = np.arange(L)
-        active = np.ones((F, L), bool)
-        for step in range(steps):
-            port = self.port[cur, lid_col[None, :]]
-            ok = (port >= 0) & (port < m)
-            newly_bad = active & ~ok
-            if newly_bad.any():
-                self.bad_port |= newly_bad
-                active = active & ok
-            self.route_switch[:, :, step][active] = cur[active]
-            self.route_port[:, :, step][active] = port[active]
-            safe = np.where(ok, port, 0)
-            nxt_switch = self.peer_switch[cur, safe]
-            nxt_node = self.peer_node[cur, safe]
-            arrived = active & (nxt_node >= 0)
-            self.delivered[arrived] = nxt_node[arrived]
-            self.route_len[arrived] = step + 1
-            active = active & (nxt_node < 0)
-            if not active.any():
-                break
-            cur[active] = nxt_switch[active]
+    def _retrace(self, base: "RouteKernel") -> None:
+        """Copy ``base``'s routes and re-trace only the DLID columns
+        whose port-matrix entries differ (column locality: a route
+        depends on its DLID's column alone).  ``base`` is never
+        written — published snapshots share its arrays."""
+        cols = np.flatnonzero((self.port != base.port).any(axis=0))
+        if cols.size:
+            fresh = trace_columns(self.arrays, self.port, cols, self.max_steps)
+        for i, name in enumerate(self._ROUTES):
+            array = getattr(base, name).copy()
+            if cols.size:
+                array[:, cols] = fresh[i]
+            setattr(self, name, array)
 
     # ------------------------------------------------------------------
     # Derived per-route properties (lazy)

@@ -32,14 +32,16 @@ failure lifecycle *inside* the discrete-event simulation:
 5. **Metrics** — each completed re-route appends a
    :class:`ReroutingRecord`; :meth:`DynamicSubnetManager.metrics`
    summarizes time-to-detect, time-to-repair, packets lost, flows
-   rerouted and post-repair path-length inflation.
+   rerouted and post-repair path-length inflation, traced over the
+   changed DLID columns only.
 
 Kernel coherence: the shared
 :class:`~repro.ib.artifacts.RoutingArtifacts` cache is never mutated
 (other subnets may hold the same instance); instead the manager owns a
 *live* :class:`~repro.core.kernel.RouteKernel`, invalidated on every
 reprogram and lazily recompiled from the switches' current LFTs by
-:meth:`DynamicSubnetManager.live_kernel`.
+:meth:`DynamicSubnetManager.live_kernel` — incrementally, re-tracing
+only the DLID columns whose entries changed.
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ import numpy as np
 
 from repro.core.fault import FaultSet, FaultTolerantTables, LinkId, link_id
 from repro.core.fault_kernel import FaultRepairKernel
-from repro.core.kernel import RouteKernel
+from repro.core.kernel import RouteKernel, fabric_arrays, trace_columns
 from repro.ib.lft import LinearForwardingTable
 from repro.ib.link import Transmitter
 from repro.ib.sm import SubnetManager
 from repro.ib.subnet import Subnet
 from repro.runtime.detection import TrapDetector
 from repro.runtime.schedule import FaultEvent, FaultSchedule
-from repro.topology.labels import SwitchLabel
+from repro.topology.labels import SwitchLabel, format_switch
 
 __all__ = ["DynamicSubnetManager", "FailoverMetrics", "ReroutingRecord"]
 
@@ -201,6 +203,13 @@ class DynamicSubnetManager:
             frozen = table.copy()
             frozen.setflags(write=False)
             self._baseline[sw] = frozen
+        self._baseline_len: Optional[np.ndarray] = None
+        # Every off-diagonal (src, dst) flow in row-major order: the
+        # source's leaf row and the selected DLID's column.
+        num = self.ft.num_nodes
+        src, dst = np.nonzero(~np.eye(num, dtype=bool))
+        self._pair_leaf = fabric_arrays(self.ft).attach_leaf[src]
+        self._pair_lix = net._dlid.reshape(num, num)[src, dst] - 1
         self._armed = False
         # In-flight delta programming (one sweep at a time; a newer
         # sweep supersedes an unfinished one).
@@ -442,31 +451,19 @@ class DynamicSubnetManager:
     # ------------------------------------------------------------------
     # Migration statistics
     # ------------------------------------------------------------------
-    def _walk(
-        self, tables: Tables, src_pid: int, dlid: int, max_hops: int
-    ) -> Optional[List[Tuple[SwitchLabel, int]]]:
-        """(switch, port) sequence of one table walk, None on non-delivery."""
-        ft = self.ft
-        sw = ft.node_attachment(ft.node_from_pid(src_pid)).switch
-        path: List[Tuple[SwitchLabel, int]] = []
-        for _ in range(max_hops):
-            port = int(tables[sw][dlid - 1])
-            path.append((sw, port))
-            ep = ft.peer(sw, port)
-            if ep.is_node:
-                return path
-            sw = ep.switch
-        return None
-
     def _migration_stats(
         self, before: Tables, known: frozenset
     ) -> Tuple[int, float]:
         """How many flows moved, and how much longer their paths got.
 
-        A *flow* is a (src, dst) pair; its path is the walk of the
-        selected DLID through the tables.  Inflation compares the new
-        path length against the fault-free minimal one (the baseline
-        tables), averaged over rerouted flows.
+        A *flow* is a (src, dst) pair; its path is the (switch, port)
+        sequence of its selected DLID's table walk, undelivered when it
+        reaches no node within ``2n + 2·max(1, |known|) + 2`` hops (two
+        undelivered walks compare equal).  Only flows whose DLID column
+        changed can move, so only those columns are traced, before and
+        live.  Inflation compares the new path length against the
+        fault-free minimal one (the baseline tables), averaged over
+        rerouted, delivered flows in (src, dst) row-major order.
         """
         changed = np.zeros(self.scheme.num_lids, dtype=bool)
         for sw, old in before.items():
@@ -475,27 +472,90 @@ class DynamicSubnetManager:
                 np.logical_or(changed, old != live, out=changed)
         if not changed.any():
             return 0, 1.0
-        max_hops = 2 * self.ft.n + 2 * max(1, len(known)) + 2
-        num = self.ft.num_nodes
-        flows = 0
-        ratios: List[float] = []
-        for src in range(num):
-            for dst in range(num):
-                if src == dst:
-                    continue
-                dlid = self.net.dlid_for(src, dst)
-                if not changed[dlid - 1]:
-                    continue
-                old = self._walk(before, src, dlid, max_hops)
-                new = self._walk(self._live, src, dlid, max_hops)
-                if old == new:
-                    continue
-                flows += 1
-                if new is not None:
-                    base = self._walk(self._baseline, src, dlid, max_hops)
-                    ratios.append(len(new) / len(base))
-        inflation = sum(ratios) / len(ratios) if ratios else 1.0
-        return flows, inflation
+        cols = np.flatnonzero(changed)
+        col_of = np.full(self.scheme.num_lids, -1, np.intp)
+        col_of[cols] = np.arange(cols.size)
+        need = changed[self._pair_lix]
+        leaf = self._pair_leaf[need]
+        lix = self._pair_lix[need]
+        k = col_of[lix]
+
+        budget = 2 * self.ft.n + 2 * max(1, len(known)) + 2
+        old_port, _, old_to = self._walk_columns(before, cols, budget, leaf, k)
+        new_port, new_len, new_to = self._walk_columns(
+            self._live, cols, budget, leaf, k
+        )
+        # Both walks of a flow leave the same leaf switch, so their
+        # (switch, port) sequences are equal iff their port sequences are.
+        same = (old_port == new_port).all(axis=2)
+        lost = (old_to < 0) & (new_to < 0)
+        moved = ~(same | lost)[leaf, k]
+        flows = int(moved.sum())
+
+        landed = moved & (new_to[leaf, k] >= 0)
+        if not landed.any():
+            return flows, 1.0
+        leaf, lix, k = leaf[landed], lix[landed], k[landed]
+        base_len = self._baseline_lengths()[leaf, lix]
+        if not base_len.all():  # only corrupt baseline tables get here
+            i = int(np.argmin(base_len))
+            one = slice(i, i + 1)
+            self._walk_columns(
+                self._baseline, lix[one], budget, leaf[one], np.zeros(1, np.intp)
+            )
+            raise ValueError(
+                f"baseline route from leaf row {leaf[i]} for DLID "
+                f"{lix[i] + 1} reaches no node within "
+                f"{2 * self.ft.n + 2} hops"
+            )
+        ratios = (new_len[leaf, k] / base_len).tolist()
+        return flows, sum(ratios) / len(ratios)
+
+    def _walk_columns(
+        self,
+        tables: Tables,
+        cols: np.ndarray,
+        budget: int,
+        leaf: np.ndarray,
+        k: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hop ports, lengths, delivered) of the ``cols`` routes through
+        ``tables``.  Flow ``i`` walks route ``(leaf[i], k[i])``; the
+        first flow whose walk meets an entry outside ``[0, m)`` raises
+        a ``ValueError`` naming the switch, the DLID and the port."""
+        arrays = fabric_arrays(self.ft)
+        port = self._port_matrix(tables)
+        trace = trace_columns(arrays, port, cols, budget)
+        bad = trace.bad_port[leaf, k]
+        if bad.any():
+            i = int(np.argmax(bad))
+            f, col = int(leaf[i]), int(k[i])
+            sw = trace.stop_switch(arrays, f, col)
+            lix = int(cols[col])
+            label = format_switch(*self.ft.switches[sw])
+            raise ValueError(
+                f"forwarding table of switch {label} sends DLID {lix + 1} "
+                f"to port {int(port[sw, lix])}, outside [0, {self.ft.m})"
+            )
+        return trace.port, trace.length, trace.delivered
+
+    def _port_matrix(self, tables: Tables) -> np.ndarray:
+        """Stack 0-based tables into the (num_switches, num_lids)
+        port matrix, rows in fabric switch order."""
+        return np.stack([tables[sw] for sw in self.ft.switches])
+
+    def _baseline_lengths(self) -> np.ndarray:
+        """(num_leaves, num_lids) baseline route lengths, traced once.
+        Baseline routes are minimal, so the fault-free budget ``2n + 2``
+        bounds them."""
+        if self._baseline_len is None:
+            self._baseline_len = trace_columns(
+                fabric_arrays(self.ft),
+                self._port_matrix(self._baseline),
+                None,
+                2 * self.ft.n + 2,
+            ).length
+        return self._baseline_len
 
     # ------------------------------------------------------------------
     # Introspection
@@ -505,16 +565,19 @@ class DynamicSubnetManager:
 
         Invalidated by every reprogram and recompiled lazily, so static
         analyses stay coherent with what the fabric actually forwards
-        with.  The shared :mod:`repro.ib.artifacts` cache is left
-        untouched — its kernel describes the fault-free tables.
+        with.  The recompile starts from the previous live kernel and
+        re-traces only the DLID columns whose entries changed.  The
+        shared :mod:`repro.ib.artifacts` cache is left untouched — its
+        kernel describes the fault-free tables.
 
         Note the kernel's hop budget is the fault-free bound
         (``2n + 2``); on deep trees a repaired route that detours past
         it shows up as undelivered rather than raising.
         """
         if self._kernel is None or self._kernel_generation != self._generation:
-            lfts = {sw: model.lft for sw, model in self.net.switches.items()}
-            self._kernel = RouteKernel.from_lfts(self.scheme, lfts)
+            self._kernel = RouteKernel.from_lfts(
+                self.scheme, self.live_lfts(), base=self._kernel
+            )
             self._kernel_generation = self._generation
         return self._kernel
 

@@ -279,14 +279,21 @@ class SnapshotPublisher:
 
     def publish_now(self) -> bool:
         """Compile and publish the manager's current state (no-op when
-        the store already holds this generation)."""
+        the store already holds this generation).
+
+        The kernel is compiled incrementally from the current
+        snapshot's: only DLID columns whose entries changed are
+        re-traced, into copies — the published kernel is never written.
+        """
         mgr = self.mgr
         generation = mgr.generation
         cur = self.store.current
         if cur is not None and cur.generation == generation:
             return False
         lfts = mgr.live_lfts()
-        kernel = RouteKernel.from_lfts(mgr.scheme, lfts)
+        kernel = RouteKernel.from_lfts(
+            mgr.scheme, lfts, base=cur.kernel if cur is not None else None
+        )
         kernel._set_selected(self._dlid_matrix)
         snap = RouteSnapshot(
             kernel,

@@ -5,11 +5,14 @@ LCA-usage histograms, all-to-one link loads, and CDG edge sets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import verification as v
 from repro.core.extensions import DestStaggeredMlidScheme, HashedMlidScheme
 from repro.core.forwarding import MlidScheme
-from repro.core.kernel import RouteKernel, compile_kernel
+from repro.core import kernel as kernel_mod
+from repro.core.kernel import RouteKernel, compile_kernel, trace_columns
 from repro.core.scheme import RoutingScheme
 from repro.core.slid import SlidScheme
 from repro.core.updown import UpDownScheme
@@ -290,3 +293,124 @@ def test_generic_scheme_without_vectorized_tables():
     assert compile_kernel(scheme).verify() == v.verify_scheme(
         scheme, use_kernel=False
     )
+
+
+# ----------------------------------------------------------------------
+# Column tracing and the incremental compile
+# ----------------------------------------------------------------------
+
+_ROUTE_ARRAYS = ("route_switch", "route_port", "route_len", "delivered", "bad_port")
+
+
+def _assert_same_routes(a, b):
+    for name in _ROUTE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.flags.c_contiguous, name
+        assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("m,n", MN)
+def test_column_trace_is_a_slice_of_the_full_trace(m, n):
+    kernel = compile_kernel(MlidScheme(FatTree(m, n)))
+    cols = np.arange(kernel.num_lids)[1::3]
+    part = trace_columns(kernel.arrays, kernel.port, cols, kernel.max_steps)
+    assert np.array_equal(part.switch, kernel.route_switch[:, cols])
+    assert np.array_equal(part.port, kernel.route_port[:, cols])
+    assert np.array_equal(part.length, kernel.route_len[:, cols])
+    assert np.array_equal(part.delivered, kernel.delivered[:, cols])
+    assert np.array_equal(part.bad_port, kernel.bad_port[:, cols])
+
+
+@pytest.mark.parametrize(
+    "m,n,scheme", [(4, 2, "slid"), (4, 3, "mlid"), (8, 2, "mlid-hash")]
+)
+def test_incremental_compile_matches_full_every_generation(m, n, scheme):
+    from repro.service import LinkFlapStorm
+
+    storm = LinkFlapStorm(
+        m, n, scheme, flap_links=2, horizon_ns=40_000.0, keep_lfts=True
+    )
+    storm.net.engine.run()
+    archive = storm.publisher.lft_archive
+    assert len(archive) > 2
+    prev = None
+    for generation in sorted(archive):
+        lfts = archive[generation]
+        full = RouteKernel.from_lfts(storm.mgr.scheme, lfts)
+        fast = RouteKernel.from_lfts(storm.mgr.scheme, lfts, base=prev)
+        _assert_same_routes(fast, full)
+        prev = fast
+    # The publisher compiles the same way, from the store's snapshot.
+    _assert_same_routes(storm.store.get().kernel, full)
+
+
+_PERTURBED = [MlidScheme(FatTree(4, 3)), SlidScheme(FatTree(8, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_incremental_compile_under_column_perturbations(data):
+    """Random entries, out-of-range ports included: an incremental
+    compile equals a full one and leaves its base untouched."""
+    scheme = data.draw(st.sampled_from(_PERTURBED))
+    base = compile_kernel(scheme)
+    S, L, m = base.num_switches, base.num_lids, base.m
+    entry = st.tuples(
+        st.integers(0, S - 1), st.integers(0, L - 1), st.integers(-2, m + 1)
+    )
+    for _ in range(2):  # chained: the second compile builds on the first
+        port = base.port.copy()
+        for s, lix, p in data.draw(st.lists(entry, max_size=16)):
+            port[s, lix] = p
+        kept = {name: getattr(base, name).copy() for name in _ROUTE_ARRAYS}
+        fast = RouteKernel(scheme, port, base=base)
+        _assert_same_routes(fast, RouteKernel(scheme, port))
+        for name in _ROUTE_ARRAYS:
+            assert np.array_equal(getattr(base, name), kept[name]), name
+            assert not np.shares_memory(getattr(base, name), getattr(fast, name))
+        assert fast._checks is None and fast._sel is None
+        base = fast
+
+
+def _traced_columns(monkeypatch):
+    calls = []
+    real = kernel_mod.trace_columns
+
+    def spy(arrays, port, columns, budget):
+        calls.append(columns)
+        return real(arrays, port, columns, budget)
+
+    monkeypatch.setattr(kernel_mod, "trace_columns", spy)
+    return calls
+
+
+def test_incremental_compile_traces_only_changed_columns(monkeypatch):
+    scheme = MlidScheme(FatTree(4, 3))
+    base = RouteKernel.from_scheme(scheme)
+    port = base.port.copy()
+    port[3, 5] = (port[3, 5] + 1) % base.m
+    port[7, 40] = (port[7, 40] + 1) % base.m
+    calls = _traced_columns(monkeypatch)
+    RouteKernel(scheme, port, base=base)
+    assert len(calls) == 1 and list(calls[0]) == [5, 40]
+    calls.clear()
+    RouteKernel(scheme, base.port, base=base)  # nothing changed
+    assert calls == []
+
+
+def test_incompatible_base_falls_back_to_full_compile(monkeypatch):
+    ft = FatTree(4, 3)
+    scheme = MlidScheme(ft)
+    port = RouteKernel.from_scheme(scheme).port
+    bases = [
+        RouteKernel.from_scheme(SlidScheme(ft)),  # other scheme and shape
+        RouteKernel.from_scheme(HashedMlidScheme(ft)),  # same shape
+        RouteKernel.from_scheme(MlidScheme(FatTree(8, 2))),  # other fabric
+    ]
+    calls = _traced_columns(monkeypatch)
+    for base in bases:
+        calls.clear()
+        kernel = RouteKernel(scheme, port, base=base)
+        assert calls == [None]
+        _assert_same_routes(kernel, RouteKernel.from_scheme(scheme))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fault import FaultSet, FaultTolerantTables
+from repro.core.kernel import RouteKernel
 from repro.ib.config import SimConfig
 from repro.ib.subnet import build_subnet
 from repro.runtime import DynamicSubnetManager, FaultSchedule
@@ -195,6 +196,32 @@ class TestKernelCoherence:
         k1 = mgr2.live_kernel()
         assert k1 is not k0
         assert mgr2.live_kernel() is k1
+
+    def test_live_kernel_recompiles_from_previous_live_kernel(
+        self, monkeypatch
+    ):
+        net = make_net(4, 3)
+        sw, port = victim(net)
+        sched = FaultSchedule(net.ft).fail_and_recover(sw, port, 1_000.0, 5_000.0)
+        mgr = DynamicSubnetManager(net, sched)
+        mgr.arm()
+        bases = []
+        real = RouteKernel.from_lfts.__func__
+
+        def spy(cls, scheme, lfts, base=None):
+            bases.append(base)
+            return real(cls, scheme, lfts, base)
+
+        monkeypatch.setattr(RouteKernel, "from_lfts", classmethod(spy))
+        kernels = [mgr.live_kernel()]
+        for until in (3_000.0, 8_000.0):
+            net.engine.run(until=until)
+            kernels.append(mgr.live_kernel())
+        assert bases == [None] + kernels[:-1]
+        monkeypatch.undo()
+        fresh = RouteKernel.from_lfts(mgr.scheme, mgr.live_lfts())
+        for name in ("route_switch", "route_port", "route_len", "delivered"):
+            assert np.array_equal(getattr(kernels[-1], name), getattr(fresh, name))
 
     def test_live_kernel_delivers_around_the_fault(self):
         net = make_net(8, 2)
